@@ -218,12 +218,19 @@ fn faults_violations(json: &str) -> Vec<String> {
     violations
 }
 
+/// The slowest shed burst (requests per second) a healthy transport can
+/// post. Held submissions do no tuning, so the burst measures framing,
+/// parsing and admission alone: tens of thousands per second on two cores,
+/// and about 11 when TCP timers stall every message.
+const BURST_FLOOR_PER_SECOND: f64 = 1000.0;
+
 /// Validates the HTTP service-load artifact: throughput must be a real
-/// positive number, the latency quantiles must be ordered, the admission
-/// accounting must balance (`admitted + shed == submitted` — the serving
-/// layer's hard invariant, re-checked here against the published numbers),
-/// and the wire-vs-solo bit-identity flag must be present at all (its
-/// truth is gated by the `identical` scan like every other flag).
+/// positive number, the shed burst must clear the transport floor, the
+/// latency quantiles must be ordered, the admission accounting must
+/// balance (`admitted + shed == submitted` — the serving layer's hard
+/// invariant, re-checked here against the published numbers), and the
+/// wire-vs-solo bit-identity flag must be present at all (its truth is
+/// gated by the `identical` scan like every other flag).
 fn http_violations(json: &str) -> Vec<String> {
     if !json.contains("\"benchmark\": \"service_http\"") {
         return Vec::new();
@@ -236,6 +243,14 @@ fn http_violations(json: &str) -> Vec<String> {
             "sessions_per_second {rate} is not a positive throughput"
         )),
         None => violations.push("no sessions_per_second recorded".to_owned()),
+    }
+    match field_f64(&whole, "burst_requests_per_second") {
+        Some(rate) if rate >= BURST_FLOOR_PER_SECOND => {}
+        Some(rate) => violations.push(format!(
+            "burst_requests_per_second {rate} is below the transport floor \
+             {BURST_FLOOR_PER_SECOND} — a TCP timer is stalling the wire"
+        )),
+        None => violations.push("no burst_requests_per_second recorded".to_owned()),
     }
     match (
         field_f64(&whole, "report_latency_p50_ms"),
@@ -653,6 +668,7 @@ mod tests {
             "{{\n  \"benchmark\": \"service_http\",\n  \
              \"sessions_per_second\": 42.500,\n  \
              \"report_latency_p50_ms\": {p50:.3},\n  \
+             \"burst_requests_per_second\": 25000,\n  \
              \"report_latency_p99_ms\": {p99:.3},\n  \
              \"submitted\": {submitted},\n  \"admitted\": {admitted},\n  \
              \"shed\": {shed},\n  \
@@ -688,6 +704,15 @@ mod tests {
         assert!(http_violations(&stalled)
             .iter()
             .any(|v| v.contains("not a positive throughput")));
+        // A burst throttled by TCP timers: the 11 req/s the stalled
+        // transport once committed fails the floor.
+        let stalled_burst = http_artifact(100, 100, 0, 3.5, 12.0).replace(
+            "\"burst_requests_per_second\": 25000",
+            "\"burst_requests_per_second\": 11",
+        );
+        assert!(http_violations(&stalled_burst)
+            .iter()
+            .any(|v| v.contains("below the transport floor")));
         // A dropped bit-identity flag.
         let unasserted =
             http_artifact(100, 100, 0, 3.5, 12.0).replace("wire_reports_identical", "gone");
@@ -700,6 +725,9 @@ mod tests {
         assert!(violations
             .iter()
             .any(|v| v.contains("no sessions_per_second")));
+        assert!(violations
+            .iter()
+            .any(|v| v.contains("no burst_requests_per_second")));
         assert!(violations
             .iter()
             .any(|v| v.contains("counters submitted/admitted/shed incomplete")));

@@ -67,7 +67,7 @@ pub mod faults;
 pub mod lynceus;
 pub mod optimizer;
 pub mod oracle;
-pub(crate) mod poison;
+pub mod poison;
 pub mod pool;
 pub mod random;
 pub mod receipt;

@@ -14,17 +14,22 @@
 //!
 //! (The `lynceus-lint` `no-panic` rule enforces this: `unwrap()`/`expect()`
 //! are banned in `core::{pool,service,lynceus}` outside `#[cfg(test)]`.)
+//!
+//! The module is public so the other containment boundaries share this one
+//! helper: the HTTP server (a handler that panicked mid-request must not
+//! take down the registry or admission locks) and the fault-injecting
+//! oracle wrapper (whose planned panics poison its locks by design).
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Locks `mutex`, recovering the guard if a previous holder panicked.
-pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Waits on `condvar`, recovering the reacquired guard if a holder panicked
 /// while the waiter was parked.
-pub(crate) fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+pub fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 

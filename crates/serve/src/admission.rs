@@ -87,7 +87,7 @@ impl Admission {
     /// call [`Admission::finish`] exactly once for it), `Err(seconds)`
     /// sheds it with the advisory retry delay.
     pub fn try_admit(&self) -> Result<(), u32> {
-        let mut counters = crate::poison::lock(&self.counters);
+        let mut counters = lynceus_core::poison::lock(&self.counters);
         let live = counters.admitted.saturating_sub(counters.finished);
         if live >= self.policy.max_live as u64 {
             counters.shed += 1;
@@ -100,7 +100,7 @@ impl Admission {
     /// Records that one admitted session reached a terminal state (or was
     /// cancelled before starting), freeing its admission slot.
     pub fn finish(&self) {
-        let mut counters = crate::poison::lock(&self.counters);
+        let mut counters = lynceus_core::poison::lock(&self.counters);
         counters.finished += 1;
         debug_assert!(counters.finished <= counters.admitted);
     }
@@ -108,7 +108,7 @@ impl Admission {
     /// A consistent snapshot of the counters.
     #[must_use]
     pub fn stats(&self) -> AdmissionStats {
-        let counters = crate::poison::lock(&self.counters);
+        let counters = lynceus_core::poison::lock(&self.counters);
         AdmissionStats {
             submitted: counters.admitted + counters.shed,
             admitted: counters.admitted,

@@ -56,6 +56,26 @@ impl ClientResponse {
     }
 }
 
+/// Frames one request (request line, `Host`, `Content-Length` when there is
+/// a body or the method is `POST`, blank line, body) and sends it in a
+/// single `write_all`.
+fn write_request(
+    writer: &mut impl Write,
+    method: &str,
+    target: &str,
+    body: Option<&str>,
+) -> std::io::Result<()> {
+    let payload = body.unwrap_or("");
+    let mut message = format!("{method} {target} HTTP/1.1\r\nHost: lynceus\r\n");
+    if !payload.is_empty() || method == "POST" {
+        message.push_str(&format!("Content-Length: {}\r\n", payload.len()));
+    }
+    message.push_str("\r\n");
+    message.push_str(payload);
+    writer.write_all(message.as_bytes())?;
+    writer.flush()
+}
+
 /// A keep-alive connection to a serve endpoint.
 pub struct Client {
     reader: BufReader<TcpStream>,
@@ -63,9 +83,12 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to the server.
+    /// Connects to the server. Nagle's algorithm is off: every request
+    /// leaves in one write, so there is nothing for it to coalesce, and
+    /// leaving it on would hold each request for the peer's delayed ACK.
     pub fn connect(addr: SocketAddr) -> Result<Self, ClientError> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Self {
             reader,
@@ -81,15 +104,7 @@ impl Client {
         target: &str,
         body: Option<&str>,
     ) -> Result<ClientResponse, ClientError> {
-        let mut head = format!("{method} {target} HTTP/1.1\r\nHost: lynceus\r\n");
-        let payload = body.unwrap_or("");
-        if !payload.is_empty() || method == "POST" {
-            head.push_str(&format!("Content-Length: {}\r\n", payload.len()));
-        }
-        head.push_str("\r\n");
-        self.writer.write_all(head.as_bytes())?;
-        self.writer.write_all(payload.as_bytes())?;
-        self.writer.flush()?;
+        write_request(&mut self.writer, method, target, body)?;
         self.read_response()
     }
 
@@ -161,5 +176,44 @@ impl Client {
             headers,
             body,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::write_request;
+    use crate::http::WriteLog;
+
+    fn framed(method: &str, target: &str, body: Option<&str>) -> WriteLog {
+        let mut log = WriteLog::default();
+        write_request(&mut log, method, target, body).expect("in-memory write");
+        log
+    }
+
+    #[test]
+    fn a_request_leaves_in_exactly_one_write_with_pinned_bytes() {
+        let post = framed("POST", "/v1/sessions", Some("{}"));
+        assert_eq!(post.writes.len(), 1, "head and body must share one write");
+        assert_eq!(
+            post.bytes(),
+            b"POST /v1/sessions HTTP/1.1\r\nHost: lynceus\r\nContent-Length: 2\r\n\r\n{}"
+        );
+
+        // Body-less GET: no Content-Length at all.
+        let get = framed("GET", "/v1/sessions/0?wait=1", None);
+        assert_eq!(get.writes.len(), 1);
+        assert_eq!(
+            get.bytes(),
+            b"GET /v1/sessions/0?wait=1 HTTP/1.1\r\nHost: lynceus\r\n\r\n"
+        );
+
+        // An empty POST still declares its length (the server answers 411
+        // otherwise).
+        let flush = framed("POST", "/v1/flush", Some(""));
+        assert_eq!(flush.writes.len(), 1);
+        assert_eq!(
+            flush.bytes(),
+            b"POST /v1/flush HTTP/1.1\r\nHost: lynceus\r\nContent-Length: 0\r\n\r\n"
+        );
     }
 }

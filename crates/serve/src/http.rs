@@ -329,7 +329,9 @@ impl Response {
         }
     }
 
-    /// Serializes the response (status line, headers, body) to `writer`.
+    /// Serializes the response (status line, headers, body) to `writer`
+    /// in a single `write_all`: head and body leave in one segment, so no
+    /// Nagle/delayed-ACK exchange can stall the message between them.
     pub fn write_to(&self, writer: &mut impl Write) -> std::io::Result<()> {
         let mut head = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason());
         head.push_str("Content-Type: application/json\r\n");
@@ -343,9 +345,39 @@ impl Response {
             "Connection: keep-alive\r\n"
         });
         head.push_str("\r\n");
-        writer.write_all(head.as_bytes())?;
-        writer.write_all(&self.body)?;
+        let mut message = head.into_bytes();
+        message.extend_from_slice(&self.body);
+        writer.write_all(&message)?;
         writer.flush()
+    }
+}
+
+/// A `Write` sink that records every `write` call, for the single-write
+/// gates on both ends of the wire.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct WriteLog {
+    /// The bytes of each `write` call, in order.
+    pub(crate) writes: Vec<Vec<u8>>,
+}
+
+#[cfg(test)]
+impl WriteLog {
+    /// Everything written, concatenated.
+    pub(crate) fn bytes(&self) -> Vec<u8> {
+        self.writes.concat()
+    }
+}
+
+#[cfg(test)]
+impl Write for WriteLog {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes.push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 
@@ -479,5 +511,40 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("{\"v\":1,\"error\":\"shed\"}"));
+    }
+
+    #[test]
+    fn a_response_leaves_in_exactly_one_write_with_golden_bytes() {
+        // The 404 transcript pinned by the conformance suite.
+        let mut log = WriteLog::default();
+        Response::error(404, "no such resource")
+            .closing()
+            .write_to(&mut log)
+            .expect("in-memory write");
+        assert_eq!(log.writes.len(), 1, "head and body must share one write");
+        let body = r#"{"v":1,"error":"no such resource"}"#;
+        let expected = format!(
+            "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\nConnection: close\r\n\r\n{}",
+            body.len(),
+            body
+        );
+        assert_eq!(log.bytes(), expected.into_bytes());
+
+        // A keep-alive response with an extra header: still one write.
+        let mut log = WriteLog::default();
+        Response::error(503, "session shed: service at capacity")
+            .with_header("Retry-After", "7")
+            .write_to(&mut log)
+            .expect("in-memory write");
+        assert_eq!(log.writes.len(), 1);
+        let body = r#"{"v":1,"error":"session shed: service at capacity"}"#;
+        let expected = format!(
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\nRetry-After: 7\r\nConnection: keep-alive\r\n\r\n{}",
+            body.len(),
+            body
+        );
+        assert_eq!(log.bytes(), expected.into_bytes());
     }
 }

@@ -68,7 +68,6 @@ pub mod admission;
 pub mod client;
 pub mod http;
 pub mod json;
-mod poison;
 pub mod server;
 pub mod wire;
 

@@ -2,6 +2,22 @@
 //! registry mapping wire ids to core sessions, and one drain thread
 //! streaming terminal outcomes out of the [`TuningService`].
 //!
+//! # Transport
+//!
+//! Every accepted stream has `TCP_NODELAY` set, and every response leaves
+//! in one write ([`Response::write_to`]), so no request waits on Nagle's
+//! algorithm or a delayed ACK.
+//!
+//! # Shutdown
+//!
+//! [`Server::shutdown`] is prompt. The server tracks the stream each
+//! handler is serving; shutdown closes the *read* half of every one of
+//! them. A handler parked in `read` on an idle keep-alive connection wakes
+//! at once (end of stream) instead of waiting out
+//! [`ServerConfig::read_timeout_ms`]. The write half stays open, so an
+//! in-flight response — a long-poll answered when the service halts, for
+//! one — still reaches its client in full, marked `Connection: close`.
+//!
 //! # Endpoints (wire v1)
 //!
 //! | Method & path                  | Purpose                                        |
@@ -29,12 +45,13 @@ use crate::admission::{Admission, AdmissionPolicy};
 use crate::http::{read_request, HttpError, HttpLimits, Request, Response};
 use crate::json::Value;
 use crate::wire;
+use lynceus_core::poison::{lock, wait};
 use lynceus_core::{
     CostOracle, DecisionReceipt, KnowledgeStore, SessionError, SessionId, SessionOutcome,
     SessionSpec, SessionStatus, TuningService,
 };
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -55,7 +72,10 @@ pub struct ServerConfig {
     /// Request parsing limits.
     pub limits: HttpLimits,
     /// Read timeout per request, the half-open-connection guard: a peer
-    /// that stops mid-request is answered with 408 and dropped.
+    /// that stops mid-request is answered with 408 and dropped, and an
+    /// idle keep-alive connection is closed. It does not bound
+    /// [`Server::shutdown`], which closes idle connections itself and
+    /// lets in-flight responses complete.
     pub read_timeout_ms: u64,
     /// Accept-and-hold mode: admitted sessions are registered but not
     /// forwarded to the service until `POST /v1/flush`. This makes
@@ -141,6 +161,9 @@ struct ServerShared {
     read_timeout_ms: u64,
     hold_sessions: bool,
     stop: Mutex<bool>,
+    /// The stream each busy handler is serving, keyed by handler index.
+    /// Shutdown closes their read halves to wake handlers parked in `read`.
+    connections: Mutex<Vec<(usize, TcpStream)>>,
 }
 
 /// A running server. Dropping it (or calling [`Server::shutdown`]) stops
@@ -178,6 +201,7 @@ impl Server {
             read_timeout_ms: config.read_timeout_ms,
             hold_sessions: config.hold_sessions,
             stop: Mutex::new(false),
+            connections: Mutex::new(Vec::new()),
         });
         let mut threads = Vec::new();
         {
@@ -197,7 +221,7 @@ impl Server {
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("lynceus-serve-handler-{handler}"))
-                    .spawn(move || run_handler(&listener, &shared))
+                    .spawn(move || run_handler(handler, &listener, &shared))
                     // lint: allow(no-panic) -- OS thread exhaustion at server startup is unrecoverable; no connection is open yet
                     .expect("failed to spawn an HTTP handler thread"),
             );
@@ -228,10 +252,18 @@ impl Server {
         self.shared.admission.stats()
     }
 
-    /// Stops accepting, joins every thread and halts the service.
+    /// Stops accepting, closes idle keep-alive connections, halts the
+    /// service and joins every thread. In-flight responses complete.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&self) {
-        *crate::poison::lock(&self.shared.stop) = true;
+        *lock(&self.shared.stop) = true;
+        // Wake every handler parked in read(): closing the read half ends
+        // its stream, while the write half stays open for a response still
+        // being produced. A handler that registers after this sweep sees
+        // `stop` and drops its connection unserved.
+        for (_, stream) in lock(&self.shared.connections).iter() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
         // Unblock every handler parked in accept(): each wake-up connection
         // is accepted, recognized as a shutdown signal and dropped.
         for _ in 0..self.handler_threads {
@@ -240,7 +272,7 @@ impl Server {
         // Halting the service ends the drain thread, which flags the
         // registry as shut down and wakes any long-pollers.
         self.shared.service.halt();
-        let threads: Vec<JoinHandle<()>> = std::mem::take(&mut *crate::poison::lock(&self.threads));
+        let threads: Vec<JoinHandle<()>> = std::mem::take(&mut *lock(&self.threads));
         for thread in threads {
             let _ = thread.join();
         }
@@ -263,7 +295,7 @@ fn run_drain(shared: &ServerShared) {
             receipts,
             ..
         } = outcome;
-        let mut inner = crate::poison::lock(&shared.registry.inner);
+        let mut inner = lock(&shared.registry.inner);
         if let Some(&serve_id) = inner.core_map.get(id.0) {
             if let Some(record) = inner.records.get_mut(serve_id) {
                 record.state = SessionState::Terminal { status, receipts };
@@ -273,34 +305,44 @@ fn run_drain(shared: &ServerShared) {
         shared.admission.finish();
         shared.registry.done.notify_all();
     }
-    let mut inner = crate::poison::lock(&shared.registry.inner);
+    let mut inner = lock(&shared.registry.inner);
     inner.shutdown = true;
     drop(inner);
     shared.registry.done.notify_all();
 }
 
 /// One handler thread: accept, serve the connection to completion, repeat.
-fn run_handler(listener: &TcpListener, shared: &ServerShared) {
+/// `token` (the handler index) keys the connection it is serving in the
+/// shutdown sweep.
+fn run_handler(token: usize, listener: &TcpListener, shared: &ServerShared) {
     loop {
-        if *crate::poison::lock(&shared.stop) {
+        if *lock(&shared.stop) {
             return;
         }
         let Ok((stream, _)) = listener.accept() else {
             continue;
         };
-        if *crate::poison::lock(&shared.stop) {
-            return; // the stream was a shutdown wake-up; drop it
+        // Register before checking `stop`: either the shutdown sweep sees
+        // this stream, or this check sees `stop`. An untrackable stream is
+        // dropped unserved, since shutdown could not wake it.
+        let Ok(tracked) = stream.try_clone() else {
+            continue;
+        };
+        lock(&shared.connections).push((token, tracked));
+        if !*lock(&shared.stop) {
+            // Contain a panicking handler to its connection, exactly like
+            // the service contains a panicking oracle to its session.
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                serve_connection(stream, shared)
+            }));
+            drop(result);
         }
-        // Contain a panicking handler to its connection, exactly like the
-        // service contains a panicking oracle to its session.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serve_connection(stream, shared)
-        }));
-        drop(result);
+        lock(&shared.connections).retain(|(owner, _)| *owner != token);
     }
 }
 
 fn serve_connection(stream: TcpStream, shared: &ServerShared) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_millis(shared.read_timeout_ms.max(1))))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
@@ -308,7 +350,7 @@ fn serve_connection(stream: TcpStream, shared: &ServerShared) -> std::io::Result
         match read_request(&mut reader, &shared.limits) {
             Ok(request) => {
                 let mut response = handle(shared, &request);
-                if !request.keep_alive || *crate::poison::lock(&shared.stop) {
+                if !request.keep_alive || *lock(&shared.stop) {
                     response.close = true;
                 }
                 response.write_to(&mut writer)?;
@@ -404,7 +446,7 @@ fn submit(shared: &ServerShared, request: &Request) -> Response {
     if let Some(key) = &spec.job_key {
         core_spec = core_spec.with_job_key(key.clone());
     }
-    let mut inner = crate::poison::lock(&shared.registry.inner);
+    let mut inner = lock(&shared.registry.inner);
     let serve_id = inner.records.len();
     let state = if shared.hold_sessions {
         SessionState::Held(Box::new(core_spec))
@@ -452,7 +494,7 @@ fn session_status(shared: &ServerShared, raw_id: &str, request: &Request) -> Res
     let Some(id) = parse_wire_id(raw_id) else {
         return Response::error(404, "no such session");
     };
-    let mut inner = crate::poison::lock(&shared.registry.inner);
+    let mut inner = lock(&shared.registry.inner);
     if inner.records.get(id).is_none() {
         return Response::error(404, "no such session");
     }
@@ -465,7 +507,7 @@ fn session_status(shared: &ServerShared, raw_id: &str, request: &Request) -> Res
             if terminal || inner.shutdown {
                 break;
             }
-            inner = crate::poison::wait(&shared.registry.done, inner);
+            inner = wait(&shared.registry.done, inner);
         }
     }
     let Some(record) = inner.records.get(id) else {
@@ -493,7 +535,7 @@ fn with_terminal(
     let Some(id) = parse_wire_id(raw_id) else {
         return Response::error(404, "no such session");
     };
-    let inner = crate::poison::lock(&shared.registry.inner);
+    let inner = lock(&shared.registry.inner);
     match inner.records.get(id) {
         None => Response::error(404, "no such session"),
         Some(record) => match &record.state {
@@ -561,7 +603,7 @@ fn cancel(shared: &ServerShared, raw_id: &str) -> Response {
     let Some(id) = parse_wire_id(raw_id) else {
         return Response::error(404, "no such session");
     };
-    let mut inner = crate::poison::lock(&shared.registry.inner);
+    let mut inner = lock(&shared.registry.inner);
     let Some(record) = inner.records.get_mut(id) else {
         return Response::error(404, "no such session");
     };
@@ -640,7 +682,7 @@ fn stats(shared: &ServerShared) -> Response {
     let admission = shared.admission.stats();
     let load = shared.service.load();
     let held = {
-        let inner = crate::poison::lock(&shared.registry.inner);
+        let inner = lock(&shared.registry.inner);
         inner
             .records
             .iter()
@@ -679,7 +721,7 @@ fn stats(shared: &ServerShared) -> Response {
 }
 
 fn flush(shared: &ServerShared) -> Response {
-    let mut inner = crate::poison::lock(&shared.registry.inner);
+    let mut inner = lock(&shared.registry.inner);
     let mut flushed = 0usize;
     for serve_id in 0..inner.records.len() {
         let is_held = matches!(

@@ -24,8 +24,12 @@ use lynceus_core::codec::{Decoder, Encoder};
 use lynceus_core::faults::{FaultKind, FaultPlan, FaultProfile, OracleFault};
 use lynceus_core::{CostOracle, Observation};
 use lynceus_space::{ConfigId, ConfigSpace};
+// Planned panics poison the wrapper's mutexes by design; the state under
+// them is always consistent (updated before the unwind), so every lock
+// recovers the guard.
+use lynceus_core::poison::lock;
 use std::collections::BTreeSet;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 
 /// The checkpointed part of the wrapper's state.
 #[derive(Debug, Clone, Copy)]
@@ -45,12 +49,6 @@ pub struct TurbulentOracle<O> {
     /// Call indices whose fault already fired in this process (one-shot
     /// semantics; intentionally *not* durable — see the module docs).
     fired: Mutex<BTreeSet<u64>>,
-}
-
-/// Planned panics poison these mutexes by design; the state under them is
-/// always consistent (updated before the unwind), so recover the guard.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl<O: CostOracle> TurbulentOracle<O> {

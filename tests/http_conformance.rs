@@ -20,6 +20,9 @@
 //!    accounting.
 //! 5. **Cancellation** — held, live, terminal and unknown sessions all
 //!    answer `DELETE` with the documented status codes.
+//! 6. **Prompt shutdown** — with an hour-long read timeout, shutdown still
+//!    returns at once past an idle keep-alive client, and a parked
+//!    long-poll gets its complete response.
 
 use lynceus::core::{
     CostOracle, OptimizerSettings, PathEngine, SessionSpec, SessionStatus, TableOracle,
@@ -750,4 +753,67 @@ fn cancellation_covers_every_session_state() {
     let gate = gate.get("admission").expect("admission block");
     assert_eq!(gate.get("live").and_then(|v| v.as_u64()), Some(0));
     server.shutdown();
+}
+
+#[test]
+fn shutdown_closes_idle_connections_and_completes_long_polls() {
+    let server = Server::start(
+        ServerConfig {
+            hold_sessions: true,
+            // An hour: if shutdown waited on the read timeout, the watchdog
+            // below would fire long before it.
+            read_timeout_ms: 3_600_000,
+            ..ServerConfig::default()
+        },
+        factory(),
+    )
+    .expect("server starts");
+
+    // An idle keep-alive client: its handler is parked in read().
+    let mut idle = Client::connect(server.addr()).expect("client connects");
+    let spec = SpecRequest::new("parked", "valley-2", settings(300.0, 0), 5);
+    let accepted = idle
+        .post("/v1/sessions", &wire::encode_spec(&spec).to_json())
+        .expect("submit succeeds");
+    assert_eq!(accepted.status, 202);
+
+    // A long-poll on the held session: its handler is parked on the
+    // registry until the service halts.
+    let mut poller = TcpStream::connect(server.addr()).expect("connect");
+    poller
+        .write_all(b"GET /v1/sessions/0?wait=1 HTTP/1.1\r\nHost: x\r\n\r\n")
+        .expect("write long-poll");
+    poller
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("set read timeout");
+    // lint: allow(wall-clock) -- lets the long-poll request reach its handler before shutdown; the assertions do not time anything
+    std::thread::sleep(std::time::Duration::from_millis(100));
+
+    let (done, finished) = std::sync::mpsc::channel();
+    // lint: allow(thread-spawn) -- test harness: runs shutdown under a watchdog so a regression fails instead of hanging
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("shutdown must not wait out the read timeout");
+
+    // The long-poll was answered in full, and the connection then closed.
+    let mut response = Vec::new();
+    poller
+        .read_to_end(&mut response)
+        .expect("read long-poll response");
+    let response = String::from_utf8(response).expect("ASCII response");
+    let body = r#"{"v":1,"id":0,"name":"parked","state":"held"}"#;
+    let expected = format!(
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{}",
+        body.len(),
+        body
+    );
+    assert_eq!(response, expected);
+
+    // The idle connection was closed under its client.
+    assert!(idle.get("/v1/stats").is_err());
 }
