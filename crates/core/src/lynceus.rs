@@ -1326,9 +1326,10 @@ fn prepare_root<'a>(
     if !constraint_models.is_empty() {
         constraint_models.satisfaction_rows(block, block_rows, satisfaction, satisfaction_scratch);
     }
-    // The memoized tree values of the previous decision belong to a
-    // different row set; drop them before the root pass repopulates.
-    root_memo.clear();
+    // The memo's values are per row of this decision's block. The previous
+    // decision emptied it before returning ([`DecisionScratch::end_decision`]),
+    // on the thread that filled it, so the root pass starts from nothing.
+    debug_assert!(root_memo.is_empty(), "root memo outlived its decision");
     root_mask.clear();
     root_mask.resize(base_ids.len(), false);
 
@@ -1377,11 +1378,17 @@ fn prepare_root<'a>(
 }
 
 /// Per-worker state of branch evaluation: one [`Scratch`] per recursion
-/// level, the decision-wide tree-value memo, the speculated-membership mask
-/// and the candidate-level Gauss–Hermite buffer.
+/// level, the worker's tree-value memo, the speculated-membership mask and
+/// the candidate-level Gauss–Hermite buffer.
+///
+/// `memo` and `branch_models` hold the decision's speculative surrogates;
+/// they live exactly as long as the [`WorkerLease`] and are empty whenever
+/// the scratch sits in the recycler. Everything else is capacity only.
 #[derive(Default)]
 struct BranchScratch {
     levels: Vec<Scratch>,
+    /// Leaf values of every tree this worker evaluated in the current
+    /// decision, over the decision's row block (keeps those trees alive).
     memo: RowValueMemo,
     /// `mask[p]` is true iff `base_ids[p]` is currently speculated on the
     /// worker's path — the incremental form of `Γ` membership across
@@ -1403,9 +1410,16 @@ struct BranchScratch {
 }
 
 /// A per-worker [`BranchScratch`] checked out of the decision's recycler:
-/// taken when a pool worker initializes, returned (with capacities intact)
-/// when the worker finishes — which is what makes the arena survive across
-/// decisions instead of being reallocated per `select_next` fan-out.
+/// taken when a pool worker initializes and returned when the worker
+/// finishes, so the buffers' capacities survive across decisions instead of
+/// being reallocated per fan-out.
+///
+/// The speculative state does not survive: dropping the lease empties the
+/// memo and the branch surrogates before the scratch goes home. The drop
+/// runs on the worker thread (a pool fan-out worker or the lane itself), so
+/// the trees are freed by the thread that built them, at the end of their
+/// decision — not parked until the session's next decision, which may run
+/// on another lane.
 struct WorkerLease<'a> {
     home: &'a Mutex<Vec<BranchScratch>>,
     scratch: Option<BranchScratch>,
@@ -1414,8 +1428,7 @@ struct WorkerLease<'a> {
 impl<'a> WorkerLease<'a> {
     fn take(home: &'a Mutex<Vec<BranchScratch>>, base_len: usize) -> Self {
         let mut scratch = crate::poison::lock(home).pop().unwrap_or_default();
-        // The previous decision's memo refers to a different row set.
-        scratch.memo.clear();
+        debug_assert!(scratch.memo.is_empty(), "worker memo outlived its lease");
         scratch.mask.clear();
         scratch.mask.resize(base_len, false);
         Self {
@@ -1432,7 +1445,9 @@ impl<'a> WorkerLease<'a> {
 
 impl Drop for WorkerLease<'_> {
     fn drop(&mut self) {
-        if let Some(scratch) = self.scratch.take() {
+        if let Some(mut scratch) = self.scratch.take() {
+            scratch.memo.clear();
+            scratch.branch_models.clear();
             if let Ok(mut home) = self.home.lock() {
                 home.push(scratch);
             }
@@ -1445,6 +1460,12 @@ impl Drop for WorkerLease<'_> {
 /// the decisions of a run the engine performs a bounded number of heap
 /// allocations: capacities are established by the first (largest) decision
 /// and reused from then on (`tests` assert the signature stabilizes).
+///
+/// Between decisions the arena holds capacity only, never speculative
+/// surrogates: the root memo is emptied by
+/// [`DecisionScratch::end_decision`] and each worker's memo and branch
+/// models by its [`WorkerLease`]'s drop, both on the thread that ran the
+/// decision. A parked session therefore keeps no decision's trees alive.
 #[derive(Default)]
 pub(crate) struct DecisionScratch {
     base_ids: Vec<ConfigId>,
@@ -1456,6 +1477,9 @@ pub(crate) struct DecisionScratch {
     satisfaction: Vec<f64>,
     satisfaction_scratch: Vec<Prediction>,
     root: Scratch,
+    /// Leaf values of the root surrogate's trees over the decision's row
+    /// block; filled by the root pass, emptied by
+    /// [`DecisionScratch::end_decision`].
     root_memo: RowValueMemo,
     root_mask: Vec<bool>,
     gamma: Vec<RootCandidate>,
@@ -1480,6 +1504,35 @@ pub(crate) struct DecisionScratch {
 }
 
 impl DecisionScratch {
+    /// Ends a decision on the thread that ran it: empties the root memo,
+    /// whose values belong to this decision's row block. Worker memos are
+    /// already empty by now — each [`WorkerLease`] empties its own on drop.
+    fn end_decision(&mut self) {
+        self.root_memo.clear();
+    }
+
+    /// Memoized trees and branch surrogates the arena still holds: the root
+    /// memo plus every recycled worker's memo and branch models. Zero
+    /// between decisions (the retention tests assert it after every step).
+    #[cfg(test)]
+    pub(crate) fn retained_speculation(&self) -> usize {
+        let workers = self.workers.lock().expect("scratch recycler poisoned");
+        self.root_memo.len()
+            + workers
+                .iter()
+                .map(|w| w.memo.len() + w.branch_models.len())
+                .sum::<usize>()
+    }
+
+    /// Number of worker scratches in the recycler.
+    #[cfg(test)]
+    pub(crate) fn recycled_workers(&self) -> usize {
+        self.workers
+            .lock()
+            .expect("scratch recycler poisoned")
+            .len()
+    }
+
     /// A coarse fingerprint of the arena's reserved capacities, used by the
     /// reuse tests: once the first decisions have sized the buffers, the
     /// signature must stay constant — per-decision heap growth would show up
@@ -2463,6 +2516,7 @@ impl<'a> LynceusSession<'a> {
                     ),
                 };
                 let gamma_size = scratch.last_gamma;
+                scratch.end_decision();
                 self.driver.decision_scratch = scratch;
                 (id, gamma_size)
             }
@@ -3045,6 +3099,42 @@ mod tests {
                 signature, settled,
                 "decision {i} grew the arena: {decisions:?}"
             );
+        }
+    }
+
+    #[test]
+    fn no_speculative_surrogate_outlives_its_decision() {
+        // A parked session must hold no decision's trees: after every step
+        // the root memo and every recycled worker's memo and branch models
+        // are empty, for both engines, inline and through a shared pool.
+        let oracle = valley_oracle();
+        for engine in [PathEngine::BoundAndPrune, PathEngine::Batched] {
+            for pooled in [false, true] {
+                let mut s = settings(1_500.0, 2);
+                s.parallel_paths = pooled;
+                let mut optimizer = LynceusOptimizer::new(s).with_engine(engine);
+                if pooled {
+                    optimizer = optimizer.with_pool(Arc::new(pool::Pool::new(2)));
+                }
+                let mut session = LynceusSession::new(&optimizer, &oracle, 3);
+                let mut decisions = 0;
+                while let SessionStep::Profiled(_) = session.step().expect("healthy oracle") {
+                    let scratch = session.decision_scratch();
+                    assert_eq!(
+                        scratch.retained_speculation(),
+                        0,
+                        "{engine:?} (pooled: {pooled}) kept speculative trees after step {}",
+                        session.steps()
+                    );
+                    if scratch.recycled_workers() > 0 {
+                        decisions += 1;
+                    }
+                }
+                assert!(
+                    decisions >= 3,
+                    "{engine:?} (pooled: {pooled}): too few speculating decisions ({decisions})"
+                );
+            }
         }
     }
 

@@ -522,6 +522,10 @@ struct Slot {
     /// a lane; honored at the next decision boundary (the session finishes
     /// its in-flight step, then terminates instead of re-queueing).
     cancel_requested: bool,
+    /// True once the session reached a terminal state — still true after a
+    /// drain call has taken the outcome, when the slot holds neither a
+    /// session nor an outcome (and must not read as checked out).
+    terminal: bool,
     /// The terminal outcome, held until a drain call delivers it.
     outcome: Option<SessionOutcome>,
 }
@@ -624,6 +628,7 @@ impl Sched {
             status,
             receipts,
         };
+        self.slots[index].terminal = true;
         self.slots[index].outcome = Some(outcome);
         self.undelivered.push(index);
         self.live -= 1;
@@ -823,7 +828,7 @@ impl TuningService {
         let Some(slot) = state.slots.get_mut(id.0) else {
             return false;
         };
-        if slot.outcome.is_some() || slot.cancel_requested {
+        if slot.terminal || slot.cancel_requested {
             return false;
         }
         match slot.session.take() {
@@ -1000,6 +1005,7 @@ impl TuningService {
                     checkpoint,
                     session: Some(session),
                     cancel_requested: false,
+                    terminal: false,
                     outcome: None,
                 });
                 state.ready.push(index);
@@ -1031,6 +1037,7 @@ impl TuningService {
                     checkpoint: None,
                     session: None,
                     cancel_requested: false,
+                    terminal: true,
                     outcome: Some(outcome),
                 });
                 state.undelivered.push(index);

@@ -551,6 +551,12 @@ type MemoMap = std::collections::HashMap<
 /// alive, so the address key is stable for the memo's lifetime. Keys are
 /// already well-distributed allocator addresses, so the map hashes them with
 /// an identity hasher instead of SipHash.
+///
+/// Lifecycle: one row set, one owner. Because entries keep their trees
+/// alive, a memo that outlives its row set also keeps every tree it ever
+/// saw; the optimizer's engine therefore [`RowValueMemo::clear`]s each memo
+/// at the end of the decision that filled it, on the thread that built
+/// those trees, and starts every decision from an empty memo.
 #[derive(Default)]
 pub struct RowValueMemo {
     map: MemoMap,
@@ -591,9 +597,9 @@ impl RowValueMemo {
     }
 
     /// Drops every memoized tree (and the `Arc`s keeping them alive) while
-    /// retaining the map's capacity. Callers that reuse one memo across
-    /// decisions **must** clear it whenever the row set changes — the cached
-    /// values are per-row, keyed only by tree identity.
+    /// retaining the map's capacity. A memo reused for a new row set
+    /// **must** be cleared first — the cached values are per-row, keyed
+    /// only by tree identity.
     pub fn clear(&mut self) {
         self.map.clear();
         self.passes.clear();

@@ -68,7 +68,10 @@ impl FlatNodes {
             return flat;
         }
         let mut next = 1u32;
-        let mut work = vec![(0usize, 0u32)];
+        // The stack holds roots of disjoint subtrees, each with at least one
+        // leaf, so it never outgrows the leaf count `(nodes + 1) / 2`.
+        let mut work = Vec::with_capacity(nodes.len().div_ceil(2));
+        work.push((0usize, 0u32));
         while let Some((ptr, slot)) = work.pop() {
             let slot = slot as usize;
             match &nodes[ptr] {
@@ -298,7 +301,12 @@ impl RegressionTree {
         let mut workspace = BuildWorkspace {
             values: Vec::with_capacity(indices.len()),
             partition: Vec::with_capacity(indices.len()),
+            features: Vec::with_capacity(data.dims()),
         };
+        // Every leaf holds at least one index, so a binary tree over the
+        // resample has at most `2·|indices| − 1` nodes: one reservation
+        // instead of a growth step per doubling.
+        self.nodes.reserve(2 * indices.len() - 1);
         let root = self.build(data, &mut owned, 0, &mut rng, &mut workspace);
         debug_assert_eq!(root, 0, "the root must be the first node");
         // Flatten once per fit: every subsequent traversal of the tree runs
@@ -552,11 +560,20 @@ impl RegressionTree {
             return make_leaf(&mut self.nodes);
         }
 
+        // `workspace.{features, values}` are reusable: split selection
+        // finishes before the recursion below, so one buffer of each serves
+        // every node of the tree.
+        let BuildWorkspace {
+            values, features, ..
+        } = workspace;
         let dims = data.dims();
-        let candidate_features: Vec<usize> = match self.feature_subsample {
-            Some(k) if k < dims => rng.sample_indices(dims, k),
-            _ => (0..dims).collect(),
-        };
+        match self.feature_subsample {
+            Some(k) if k < dims => rng.sample_indices_into(dims, k, features),
+            _ => {
+                features.clear();
+                features.extend(0..dims);
+            }
+        }
 
         let parent_sse: f64 = indices
             .iter()
@@ -566,11 +583,7 @@ impl RegressionTree {
             })
             .sum();
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
-        for &feature in &candidate_features {
-            // `workspace.values` is reusable: split selection finishes
-            // before the recursion below, so one buffer serves every node of
-            // the tree.
-            let values = &mut workspace.values;
+        for &feature in features.iter() {
             values.clear();
             values.extend(
                 indices
@@ -674,12 +687,17 @@ fn stable_partition_in_place<F: Fn(usize) -> bool>(
     items[write..].copy_from_slice(scratch);
 }
 
-/// Reusable buffers of one optimized tree construction.
+/// Reusable buffers of one optimized tree construction: sized once per fit,
+/// so building a tree allocates the same number of times whatever its node
+/// count (pinned by `tests/alloc_budget.rs`).
 struct BuildWorkspace {
     /// `(feature value, target)` pairs of the node under consideration.
     values: Vec<(f64, f64)>,
     /// Scratch for the stable in-place index partition.
     partition: Vec<usize>,
+    /// Split candidates of the node under consideration (the random feature
+    /// subset, or every feature).
+    features: Vec<usize>,
 }
 
 impl Surrogate for RegressionTree {
@@ -845,6 +863,52 @@ mod tests {
             let rows: Vec<Vec<f64>> = data.feature_rows().map(<[f64]>::to_vec).collect();
             reference.fit_reference(&rows, data.targets());
             assert_eq!(optimized, reference, "builds diverged on {n} samples");
+        }
+
+        // Tie-heavy sweep, shaped like the TF, Scout and CherryPick spaces:
+        // discrete features of at most four levels (one of them ±0.0, which
+        // `total_cmp` orders but the split test treats as equal), repeated
+        // targets, and Poisson-duplicate resamples through `fit_indexed`.
+        // Nearly every candidate split here lands on a tie and is skipped.
+        let levels: [&[f64]; 4] = [
+            &[-0.0, 0.0, 1.0],
+            &[1.0, 2.0, 4.0, 8.0],
+            &[0.0, 1.0],
+            &[0.5, 1.5, 3.0],
+        ];
+        for round in 0..60usize {
+            let mut data = TrainingSet::new(levels.len());
+            let n = 2 + rng.below(60);
+            for _ in 0..n {
+                let row: Vec<f64> = levels.iter().map(|l| l[rng.below(l.len())]).collect();
+                let target = (row[1] * 10.0 + row[3]).floor() + rng.below(3) as f64;
+                data.push(row, target);
+            }
+            // Ascending multiset with repeats, as `BaggingEnsemble` draws it
+            // (counts 0–3 per row).
+            let indices: Vec<usize> = (0..n)
+                .flat_map(|i| std::iter::repeat_n(i, rng.below(4)))
+                .collect();
+            let mut optimized = RegressionTree::new()
+                .with_min_samples_leaf(1 + round % 3)
+                .with_seed(rng.next_u64());
+            if round % 4 != 0 {
+                optimized = optimized.with_feature_subsample(1 + rng.below(levels.len()));
+            }
+            let mut reference = optimized.clone();
+            optimized.fit_indexed(&data, &indices);
+            let rows: Vec<Vec<f64>> = indices
+                .iter()
+                .map(|&i| data.observation(i).0.to_vec())
+                .collect();
+            let targets: Vec<f64> = indices.iter().map(|&i| data.targets()[i]).collect();
+            reference.fit_reference(&rows, &targets);
+            assert_eq!(
+                optimized,
+                reference,
+                "tie-heavy builds diverged in round {round} ({} draws)",
+                indices.len()
+            );
         }
     }
 

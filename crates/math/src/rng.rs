@@ -174,14 +174,27 @@ impl SeededRng {
     ///
     /// Panics if `k > n`.
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.sample_indices_into(n, k, &mut out);
+        out
+    }
+
+    /// [`SeededRng::sample_indices`] into a caller-owned buffer: `out` is
+    /// overwritten with the same `k` indices, and the generator ends in the
+    /// same state. Allocation-free once `out` has capacity for `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k > n`.
+    pub fn sample_indices_into(&mut self, n: usize, k: usize, out: &mut Vec<usize>) {
         assert!(k <= n, "cannot sample {k} distinct indices out of {n}");
-        let mut pool: Vec<usize> = (0..n).collect();
+        out.clear();
+        out.extend(0..n);
         for i in 0..k {
             let j = i + self.below(n - i);
-            pool.swap(i, j);
+            out.swap(i, j);
         }
-        pool.truncate(k);
-        pool
+        out.truncate(k);
     }
 
     /// Picks one element of a slice uniformly at random.
