@@ -142,6 +142,28 @@ fn main() {
         black_box(fitted.refit_with(black_box(&[(&[10.0, 20.0, 30.0, 40.0, 50.0][..], 150.0)])));
     }));
 
+    // Small-tree cells: a cold fit and a one-row refit on training sets
+    // shaped like a Scout job (3 features, 24 observations) and like the
+    // tiny two-feature valley of the core tests (10 observations). Here the
+    // fixed cost per tree fit dominates, not the per-node work.
+    for (fit_name, refit_name, n, dims) in [
+        ("bagging_fit_24x3", "bagging_refit_with_1_24x3", 24, 3),
+        ("bagging_fit_10x2", "bagging_refit_with_1_10x2", 10, 2),
+    ] {
+        let small = training_set(n, dims);
+        measurements.push(bench(fit_name, 200, || {
+            let mut model = BaggingEnsemble::with_seed(10, 7);
+            model.fit(black_box(&small));
+            black_box(&model);
+        }));
+        let mut small_fitted = BaggingEnsemble::with_seed(10, 7);
+        small_fitted.fit(&small);
+        let extra = vec![50.0; dims];
+        measurements.push(bench(refit_name, 200, || {
+            black_box(small_fitted.refit_with(black_box(&[(&extra[..], 75.0)])));
+        }));
+    }
+
     measurements.push(bench("bagging_predict", 100, || {
         black_box(fitted.predict(black_box(&[10.0, 20.0, 30.0, 40.0, 50.0])));
     }));

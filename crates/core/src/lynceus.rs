@@ -1388,7 +1388,8 @@ fn prepare_root<'a>(
 struct BranchScratch {
     levels: Vec<Scratch>,
     /// Leaf values of every tree this worker evaluated in the current
-    /// decision, over the decision's row block (keeps those trees alive).
+    /// decision, over the decision's row block (the values only: a tree is
+    /// freed when its last ensemble drops, see [`RowValueMemo`]).
     memo: RowValueMemo,
     /// `mask[p]` is true iff `base_ids[p]` is currently speculated on the
     /// worker's path — the incremental form of `Γ` membership across

@@ -26,7 +26,7 @@
 use crate::model::{FeatureMatrix, Prediction, Surrogate, TrainingSet};
 use crate::tree::RegressionTree;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Poisson(1) resample count of `sample` in tree `tree` of an ensemble
 /// seeded with `seed`.
@@ -181,14 +181,22 @@ impl BaggingEnsemble {
         out
     }
 
-    /// Builds the member tree `index` on a resample multiset of `data`.
-    fn make_tree(&self, data: &TrainingSet, index: usize, resample: &[usize]) -> RegressionTree {
+    /// Builds the member tree `index` on a resample multiset of `data`,
+    /// merging its root orders from `parent` — the member it replaces,
+    /// fitted on a prefix of `resample` — when there is one.
+    fn make_tree(
+        &self,
+        data: &TrainingSet,
+        index: usize,
+        resample: &[usize],
+        parent: Option<&RegressionTree>,
+    ) -> RegressionTree {
         let mut tree = RegressionTree::new()
             .with_max_depth(self.max_depth)
             .with_min_samples_leaf(self.min_samples_leaf)
             .with_feature_subsample(feature_subsample(data.dims()))
             .with_seed(self.seed.wrapping_add(index as u64 * 7919 + 1));
-        tree.fit_indexed(data, resample);
+        tree.fit_extending(data, resample, parent);
         tree
     }
 
@@ -267,8 +275,12 @@ impl BaggingEnsemble {
                 }
                 resample => {
                     let resample = resample.unwrap_or_default();
+                    // The new resample is the old one followed by the new
+                    // draws, so the old member's sorted feature orders are
+                    // one merge away from the new member's.
+                    let parent = self.fitted.then(|| &*self.trees[t]);
                     next.trees
-                        .push(Arc::new(next.make_tree(&extended, t, &resample)));
+                        .push(Arc::new(next.make_tree(&extended, t, &resample, parent)));
                     next.resamples.push(Arc::new(resample));
                 }
             }
@@ -360,7 +372,7 @@ impl BaggingEnsemble {
     /// most member trees (an incremental refit reuses every tree whose
     /// resample skips the new sample). The memo caches each distinct tree's
     /// leaf values over the row set — keyed by the tree's `Arc` address,
-    /// with the `Arc` kept alive inside the cache so an address can never be
+    /// with a `Weak` kept inside the cache so an address can never be
     /// recycled while its entry exists — so a shared tree is traversed once
     /// per decision instead of once per ensemble evaluation. A memoized
     /// traversal descends the whole row block through the tree
@@ -384,16 +396,16 @@ impl BaggingEnsemble {
             return;
         }
         let RowValueMemo { map, passes } = memo;
-        // Bound the memo so a pathological decision cannot hold thousands of
-        // retired trees alive — but evict only *retired* entries (the memo's
-        // `Arc` is the last one standing): live trees are shared with
-        // ensembles still in play this decision, and dropping their cached
-        // values would defeat the memo exactly when ensembles are largest.
-        // Fall back to a full clear only if retiring frees nothing.
+        // Bound the memo so a pathological decision cannot pile up thousands
+        // of entries — but evict only *retired* entries (no ensemble holds
+        // the tree any more): live trees are shared with ensembles still in
+        // play this decision, and dropping their cached values would defeat
+        // the memo exactly when ensembles are largest. Fall back to a full
+        // clear only if retiring frees nothing.
         if map.len() > MEMO_SOFT_CAPACITY {
             let before = map.len();
             // lint: allow(hash-iteration) -- retain is order-independent here: survivors form a set keyed by tree address and no value is read during the sweep
-            map.retain(|_, (tree, _)| Arc::strong_count(tree) > 1);
+            map.retain(|_, (tree, _)| tree.strong_count() > 0);
             if map.len() == before {
                 map.clear();
             }
@@ -413,7 +425,7 @@ impl BaggingEnsemble {
             let entry = map.entry(key).or_insert_with(|| {
                 let mut values = vec![0.0; rows.len()];
                 tree.predict_values_into(features, rows, &mut values);
-                (Arc::clone(tree), Arc::new(values))
+                (Arc::downgrade(tree), Arc::new(values))
             });
             let values = Arc::clone(&entry.1);
             for (slot, &value) in out.iter_mut().zip(values.iter()) {
@@ -537,26 +549,34 @@ const ROW_BLOCK: usize = 64;
 /// retired trees (and, only if that frees nothing, clears outright).
 const MEMO_SOFT_CAPACITY: usize = 8192;
 
-/// Tree address → `(tree, leaf values over the memo's row set)`. The entry
-/// keeps the tree's `Arc` alive both to pin the address key and to let the
-/// overflow policy tell live trees (strong count > 1) from retired ones.
+/// Tree address → `(tree, leaf values over the memo's row set)`. The
+/// entry's `Weak` keeps the tree's `Arc` allocation (not the tree) alive,
+/// which pins the address key, and lets the overflow policy tell live trees
+/// (strong count > 0) from retired ones.
 type MemoMap = std::collections::HashMap<
     usize,
-    (Arc<RegressionTree>, Arc<Vec<f64>>),
+    (Weak<RegressionTree>, Arc<Vec<f64>>),
     std::hash::BuildHasherDefault<PointerHasher>,
 >;
 
 /// Cross-ensemble memo of per-tree leaf values over a fixed row set, used by
-/// [`BaggingEnsemble::predict_rows_memo`]. Entries keep their tree's `Arc`
-/// alive, so the address key is stable for the memo's lifetime. Keys are
-/// already well-distributed allocator addresses, so the map hashes them with
-/// an identity hasher instead of SipHash.
+/// [`BaggingEnsemble::predict_rows_memo`]. Keys are already well-distributed
+/// allocator addresses, so the map hashes them with an identity hasher
+/// instead of SipHash.
 ///
-/// Lifecycle: one row set, one owner. Because entries keep their trees
-/// alive, a memo that outlives its row set also keeps every tree it ever
-/// saw; the optimizer's engine therefore [`RowValueMemo::clear`]s each memo
-/// at the end of the decision that filled it, on the thread that built
-/// those trees, and starts every decision from an empty memo.
+/// Entries hold their tree through a [`Weak`]: the memo never keeps a tree
+/// alive. A tree is freed (its nodes, flat table and presorted orders) as
+/// soon as the last ensemble holding it drops — the deepest speculative
+/// level's trees are evaluated exactly once, so they go right after their
+/// one evaluation. The `Weak` still keeps the `Arc`'s own allocation, so an
+/// address cannot be reused by a new tree while its entry exists, and the
+/// key stays unambiguous for the memo's lifetime.
+///
+/// Lifecycle: one row set, one owner. The cached value vectors and the
+/// pinned `Arc` allocations stay until the memo is cleared; the optimizer's
+/// engine therefore [`RowValueMemo::clear`]s each memo at the end of the
+/// decision that filled it, on the thread that built those trees, and
+/// starts every decision from an empty memo.
 #[derive(Default)]
 pub struct RowValueMemo {
     map: MemoMap,
@@ -596,8 +616,8 @@ impl RowValueMemo {
         Self::default()
     }
 
-    /// Drops every memoized tree (and the `Arc`s keeping them alive) while
-    /// retaining the map's capacity. A memo reused for a new row set
+    /// Drops every memo entry (releasing the `Arc` allocations their `Weak`s
+    /// pin) while retaining the map's capacity. A memo reused for a new row set
     /// **must** be cleared first — the cached values are per-row, keyed
     /// only by tree identity.
     pub fn clear(&mut self) {
@@ -629,7 +649,7 @@ impl Surrogate for BaggingEnsemble {
         }
         for t in 0..self.n_estimators {
             let resample = self.resample_indices(t, 0..data.len());
-            let tree = self.make_tree(data, t, &resample);
+            let tree = self.make_tree(data, t, &resample, None);
             self.trees.push(Arc::new(tree));
             self.resamples.push(Arc::new(resample));
         }
@@ -1044,8 +1064,8 @@ mod tests {
 
     /// Regression test for the memo overflow policy: crossing the soft
     /// capacity used to `clear()` the whole memo, evicting *live* shared
-    /// trees mid-decision. Now only retired entries (whose memo `Arc` is
-    /// the last owner) are evicted; the live ensembles' cached values
+    /// trees mid-decision. Now only retired entries (whose tree no ensemble
+    /// holds any more) are evicted; the live ensembles' cached values
     /// survive.
     #[test]
     fn memo_overflow_evicts_retired_trees_but_keeps_live_ones() {
@@ -1073,7 +1093,7 @@ mod tests {
             churn_seed += 1;
             retired.fit(&data);
             retired.predict_rows_memo(&matrix, &rows, &mut out, &mut memo);
-            // `retired` drops here: its entries' memo `Arc`s become sole owners.
+            // `retired` drops here, and with it the only owners of its trees.
         }
         assert!(memo.len() > MEMO_SOFT_CAPACITY);
 
@@ -1129,6 +1149,112 @@ mod tests {
             "a full clear (then one re-memoized ensemble) was expected"
         );
         drop(held);
+    }
+
+    /// Chains of `refit_with` build each rebuilt member from the member it
+    /// replaces (its presorted orders merged with the new draws); every
+    /// member must be the scratch fit's member on the extended set, derived
+    /// caches included. Several distinct rows per extension, in unsorted
+    /// order and tying existing values; 5 dims (4 candidates per split, so
+    /// the feature draws consume RNG) and 3 dims (all candidates).
+    #[test]
+    fn presorted_merge_refit_chains_build_the_scratch_members() {
+        let levels: [&[f64]; 5] = [
+            &[-0.0, 0.0, 1.0],
+            &[1.0, 2.0, 4.0, 8.0],
+            &[0.0, 1.0],
+            &[0.5, 1.5, 3.0],
+            &[2.0, 3.0, 5.0, 7.0],
+        ];
+        let mut rng = SeededRng::new(0xBA6);
+        let mut rebuilt_from_parents = 0usize;
+        for round in 0..24usize {
+            let dims = if round % 2 == 0 { 5 } else { 3 };
+            let row = |rng: &mut SeededRng| -> (Vec<f64>, f64) {
+                let row: Vec<f64> = levels[..dims]
+                    .iter()
+                    .map(|l| l[rng.below(l.len())])
+                    .collect();
+                let target = (row[1] * 10.0 + row[0]).floor() + rng.below(3) as f64;
+                (row, target)
+            };
+            let mut data = TrainingSet::new(dims);
+            for _ in 0..1 + rng.below(25) {
+                let (features, target) = row(&mut rng);
+                data.push(features, target);
+            }
+            let template = BaggingEnsemble::with_seed(10, rng.next_u64())
+                .with_min_samples_leaf(1 + round % 3)
+                .with_max_depth(1 + round % 4 + if round % 5 == 0 { 28 } else { 0 });
+            let mut ensemble = template.clone();
+            ensemble.fit(&data);
+            for step in 0..5 {
+                let extra: Vec<(Vec<f64>, f64)> =
+                    (0..2 + rng.below(3)).map(|_| row(&mut rng)).collect();
+                let borrowed: Vec<(&[f64], f64)> =
+                    extra.iter().map(|(f, t)| (f.as_slice(), *t)).collect();
+                let next = ensemble.refit_with(&borrowed);
+                for (features, target) in &extra {
+                    data.push(features.clone(), *target);
+                }
+                let mut scratch = template.clone();
+                scratch.fit(&data);
+                for t in 0..10 {
+                    let context = format!("round {round}, step {step}, member {t}");
+                    next.trees[t].assert_same_fit(&scratch.trees[t], &context);
+                    if !Arc::ptr_eq(&next.trees[t], &ensemble.trees[t])
+                        && ensemble.trees[t].is_fitted()
+                    {
+                        rebuilt_from_parents += 1;
+                    }
+                }
+                ensemble = next;
+            }
+        }
+        assert!(
+            rebuilt_from_parents > 500,
+            "too few merged members: {rebuilt_from_parents}"
+        );
+    }
+
+    /// The memo holds trees weakly: a tree evaluated through it is freed as
+    /// soon as its last ensemble drops, while the entry (and the pinned
+    /// address) stays until the memo is cleared.
+    #[test]
+    fn memo_does_not_keep_a_dropped_ensembles_trees_alive() {
+        let data = noisy_quadratic(20);
+        let matrix = FeatureMatrix::from_rows(1, [[0.5], [4.0], [9.5]]);
+        let rows = [0usize, 1, 2];
+        let mut out = Vec::new();
+        let mut memo = RowValueMemo::new();
+        let mut model = BaggingEnsemble::with_seed(10, 4);
+        model.fit(&data);
+        let refit = model.refit_with(&[(&[10.5][..], 110.25)]);
+        model.predict_rows_memo(&matrix, &rows, &mut out, &mut memo);
+        refit.predict_rows_memo(&matrix, &rows, &mut out, &mut memo);
+        let entries = memo.len();
+        assert!(entries > 10, "the refit must add rebuilt trees to the memo");
+        let watched: Vec<Weak<RegressionTree>> = refit.trees.iter().map(Arc::downgrade).collect();
+        drop(refit);
+        let freed = watched.iter().filter(|w| w.strong_count() == 0).count();
+        assert_eq!(
+            freed,
+            entries - 10,
+            "exactly the refit's own (rebuilt) trees must be freed"
+        );
+        assert_eq!(
+            memo.len(),
+            entries,
+            "entries stay until the memo is cleared"
+        );
+        // Trees shared with `model` stay alive and keep their cached values.
+        let mut expected = Vec::new();
+        model.predict_rows(&matrix, &rows, &mut expected);
+        model.predict_rows_memo(&matrix, &rows, &mut out, &mut memo);
+        assert_eq!(out, expected);
+        assert_eq!(memo.len(), entries);
+        drop(model);
+        assert!(watched.iter().all(|w| w.strong_count() == 0));
     }
 
     #[test]

@@ -68,35 +68,34 @@ impl FlatNodes {
             return flat;
         }
         let mut next = 1u32;
-        // The stack holds roots of disjoint subtrees, each with at least one
-        // leaf, so it never outgrows the leaf count `(nodes + 1) / 2`.
-        let mut work = Vec::with_capacity(nodes.len().div_ceil(2));
-        work.push((0usize, 0u32));
-        while let Some((ptr, slot)) = work.pop() {
-            let slot = slot as usize;
-            match &nodes[ptr] {
-                Node::Leaf { value, .. } => {
-                    flat.feature[slot] = FLAT_LEAF;
-                    flat.threshold[slot] = *value;
-                }
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    let base = next;
-                    next += 2;
-                    flat.feature[slot] =
-                        u32::try_from(*feature).expect("feature index exceeds u32");
-                    flat.threshold[slot] = *threshold;
-                    flat.child[slot] = base;
-                    work.push((*left, base));
-                    work.push((*right, base + 1));
-                }
+        flat.place(nodes, 0, 0, &mut next);
+        flat
+    }
+
+    /// Writes pointer node `ptr` at flat slot `slot` and places its
+    /// subtree, handing out adjacent child pairs from `next` (right subtree
+    /// first). Recursion depth is the tree depth, like the build's.
+    fn place(&mut self, nodes: &[Node], ptr: usize, slot: usize, next: &mut u32) {
+        match &nodes[ptr] {
+            Node::Leaf { value, .. } => {
+                self.feature[slot] = FLAT_LEAF;
+                self.threshold[slot] = *value;
+            }
+            Node::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            } => {
+                let base = *next;
+                *next += 2;
+                self.feature[slot] = u32::try_from(*feature).expect("feature index exceeds u32");
+                self.threshold[slot] = *threshold;
+                self.child[slot] = base;
+                self.place(nodes, *right, base as usize + 1, next);
+                self.place(nodes, *left, base as usize, next);
             }
         }
-        flat
     }
 
     fn is_empty(&self) -> bool {
@@ -201,12 +200,20 @@ pub struct RegressionTree {
     /// ([`RegressionTree::fit_reference`]). Never serialized or compared:
     /// the pointer `nodes` stay the authoritative representation.
     flat: FlatNodes,
+    /// Derived root orders of the resample, one lane of `|resample|`
+    /// positions per feature (lane `f` at `f·n..(f + 1)·n`), each lane the
+    /// resample's positions in stable `total_cmp` order of feature `f`. An
+    /// incremental refit merges its appended draws into these instead of
+    /// sorting again (see [`RegressionTree::fit_indexed`] for the whole
+    /// lifecycle). Empty on unfitted and reference fits; never serialized
+    /// or compared, like `flat`.
+    presorted: Vec<u32>,
     fitted: bool,
 }
 
-/// Equality over the authoritative state only: the derived [`FlatNodes`]
-/// cache is excluded, so an optimized fit (which carries the flat table)
-/// and a reference fit of the same data still compare equal — the
+/// Equality over the authoritative state only: the derived `FlatNodes`
+/// and `presorted` caches are excluded, so an optimized fit (which carries
+/// both) and a reference fit of the same data still compare equal — the
 /// `reference_build_is_bit_identical` test depends on this.
 impl PartialEq for RegressionTree {
     fn eq(&self, other: &Self) -> bool {
@@ -238,6 +245,7 @@ impl RegressionTree {
             seed: 0,
             nodes: Vec::new(),
             flat: FlatNodes::default(),
+            presorted: Vec::new(),
             fitted: false,
         }
     }
@@ -282,12 +290,76 @@ impl RegressionTree {
     /// resampling — a row drawn `k` times appears `k` times). An empty index
     /// list leaves the tree unfitted.
     ///
+    /// # Construction
+    ///
+    /// A position `p` names the `p`-th entry of `indices`. Every node of
+    /// the tree scans each candidate feature in `(value, position)` order —
+    /// `total_cmp` on the value, ties by position — which is the order a
+    /// stable sort of the node's samples by value gives (the retained
+    /// [`RegressionTree::fit_reference`] sorts every node that way). Those
+    /// orders are computed once per fit, at the root:
+    ///
+    /// 1. *Root orders* (`presorted`). With no parent, one sort per feature
+    ///    orders the positions `0..n`. When [`BaggingEnsemble::refit_with`]
+    ///    rebuilds a member whose resample is its old resample followed by
+    ///    new draws, it passes the old tree as the parent: the appended
+    ///    positions are sorted among themselves and merged into the
+    ///    parent's lanes, old positions first on value ties.
+    /// 2. *Working lanes.* The build copies the root orders, plus the node
+    ///    index list (positions `0..n`, in position order), into one
+    ///    buffer, and reads values and targets from columns gathered by
+    ///    position once per fit. A node owns the same contiguous range
+    ///    `lo..hi` of every lane.
+    /// 3. *Partition, never sort.* After a split, a flag per position marks
+    ///    the samples going left, and one stable partition runs over the
+    ///    node's range of each lane: left samples first, both sides in
+    ///    their previous order. It writes into a second set of lanes, so
+    ///    the two sets alternate by depth and nothing is copied back. The
+    ///    children recurse on the two halves; when both are leaves by depth
+    ///    or size, only the index lane is partitioned.
+    ///
+    /// Bit-identity: a stable partition of a list ordered by `(value,
+    /// position)` leaves each side ordered by `(value, position)`, so every
+    /// node scans the very sequence a stable per-node sort would produce.
+    /// The index lane stays in position order, so the node mean sums its
+    /// targets in the same order too; every sum, tie skip and threshold is
+    /// the same float. The stored lanes are kept on the fitted tree (they
+    /// are the next refit's parent orders) and dropped by the next fit,
+    /// [`Surrogate::fresh_clone`] and reference fits.
+    ///
+    /// [`BaggingEnsemble::refit_with`]: crate::BaggingEnsemble::refit_with
+    ///
     /// # Panics
     ///
-    /// Panics if an index is out of range.
+    /// Panics if an index is out of range or the resample has more than
+    /// `u32::MAX` entries.
     pub fn fit_indexed(&mut self, data: &TrainingSet, indices: &[usize]) {
+        self.fit_extending(data, indices, None);
+    }
+
+    /// [`RegressionTree::fit_indexed`], merging the root orders from
+    /// `parent` instead of sorting: only the appended positions are sorted.
+    /// `parent` must be a tree fitted by this path on a prefix of
+    /// `indices`, over the same leading rows of `data` — the member tree
+    /// that [`crate::BaggingEnsemble::refit_with`] replaces. The fitted
+    /// tree is then the one `fit_indexed` builds, bit for bit. A parent
+    /// without orders (unfitted, reference-fitted, or fitted on more
+    /// positions than `indices` has) and `None` mean a sort. A parent that
+    /// breaks the prefix requirement yields an unspecified tree; debug
+    /// builds check the requirement and panic.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`RegressionTree::fit_indexed`].
+    pub fn fit_extending(
+        &mut self,
+        data: &TrainingSet,
+        indices: &[usize],
+        parent: Option<&RegressionTree>,
+    ) {
         self.nodes.clear();
         self.flat = FlatNodes::default();
+        self.presorted = Vec::new();
         self.fitted = false;
         if indices.is_empty() {
             return;
@@ -296,18 +368,32 @@ impl RegressionTree {
             indices.iter().all(|&i| i < data.len()),
             "resample index out of range"
         );
-        let mut rng = SeededRng::new(self.seed);
-        let mut owned: Vec<usize> = indices.to_vec();
+        let n = indices.len();
+        let dims = data.dims();
+        // The resample's columns by position: each feature, then the target.
+        let mut columns = Vec::with_capacity((dims + 1) * n);
+        for feature in 0..dims {
+            columns.extend(indices.iter().map(|&i| data.feature(i, feature)));
+        }
+        columns.extend(indices.iter().map(|&i| data.targets()[i]));
+        self.presorted = root_orders(&columns[..dims * n], n, parent);
+        // One buffer for every working lane (see `BuildWorkspace`).
+        let mut lanes = Vec::with_capacity((2 * dims + 3) * n);
+        lanes.extend_from_slice(&self.presorted);
+        lanes.extend(0..to_position(n));
+        lanes.resize((2 * dims + 3) * n, 0);
         let mut workspace = BuildWorkspace {
-            values: Vec::with_capacity(indices.len()),
-            partition: Vec::with_capacity(indices.len()),
-            features: Vec::with_capacity(data.dims()),
+            columns,
+            lanes,
+            n,
+            features: Vec::with_capacity(dims),
         };
+        let mut rng = SeededRng::new(self.seed);
         // Every leaf holds at least one index, so a binary tree over the
         // resample has at most `2·|indices| − 1` nodes: one reservation
         // instead of a growth step per doubling.
-        self.nodes.reserve(2 * indices.len() - 1);
-        let root = self.build(data, &mut owned, 0, &mut rng, &mut workspace);
+        self.nodes.reserve(2 * n - 1);
+        let root = self.build(dims, 0..n, 0, &mut rng, &mut workspace);
         debug_assert_eq!(root, 0, "the root must be the first node");
         // Flatten once per fit: every subsequent traversal of the tree runs
         // on the contiguous table instead of chasing enum nodes.
@@ -334,9 +420,11 @@ impl RegressionTree {
     pub fn fit_reference(&mut self, rows: &[Vec<f64>], targets: &[f64]) {
         assert_eq!(rows.len(), targets.len(), "one target per row");
         self.nodes.clear();
-        // No flat table: reference-fitted trees keep the original
-        // pointer-walk cost profile the benchmarks compare against.
+        // No flat table and no presorted orders: reference-fitted trees
+        // keep the original pointer-walk cost profile the benchmarks compare
+        // against, and a refit from one of them sorts from scratch.
         self.flat = FlatNodes::default();
+        self.presorted = Vec::new();
         self.fitted = false;
         if rows.is_empty() {
             return;
@@ -529,44 +617,63 @@ impl RegressionTree {
         }
     }
 
+    /// Builds the subtree of the samples at positions `range` of every
+    /// working lane (see [`RegressionTree::fit_indexed`]).
     fn build(
         &mut self,
-        data: &TrainingSet,
-        indices: &mut [usize],
+        dims: usize,
+        range: std::ops::Range<usize>,
         depth: usize,
         rng: &mut SeededRng,
         workspace: &mut BuildWorkspace,
     ) -> usize {
-        // Aggregate the node's targets in index order (the same accumulation
-        // order a materialized target vector would produce).
-        let target_of = |i: usize| data.targets()[i];
-        let mean = indices.iter().map(|&i| target_of(i)).sum::<f64>() / indices.len() as f64;
+        let BuildWorkspace {
+            columns,
+            lanes,
+            n,
+            features,
+        } = workspace;
+        let n = *n;
+        // This node's lanes are in the group of its depth's parity; the
+        // partition writes its children's lanes into the other group.
+        let group = (dims + 1) * n;
+        let (groups, flags) = lanes.split_at_mut(2 * group);
+        let (even, odd) = groups.split_at_mut(group);
+        let (current, next) = if depth.is_multiple_of(2) {
+            (&*even, odd)
+        } else {
+            (&*odd, even)
+        };
+        let (orders, members) = current.split_at(dims * n);
+        let (values, targets) = columns.split_at(dims * n);
+        let len = range.len();
+        let target_of = |p: u32| targets[p as usize];
+
+        // Aggregate the node's targets in position order (the same
+        // accumulation order a materialized target vector would produce).
+        let node = &members[range.clone()];
+        let mean = node.iter().map(|&p| target_of(p)).sum::<f64>() / len as f64;
 
         let make_leaf = |nodes: &mut Vec<Node>| {
             nodes.push(Node::Leaf {
                 value: mean,
-                count: indices.len(),
+                count: len,
             });
             nodes.len() - 1
         };
 
-        let first_target = target_of(indices[0]);
+        let first_target = target_of(node[0]);
         if depth >= self.max_depth
-            || indices.len() < 2 * self.min_samples_leaf
-            || indices
+            || len < 2 * self.min_samples_leaf
+            || node
                 .iter()
-                .all(|&i| (target_of(i) - first_target).abs() < 1e-12)
+                .all(|&p| (target_of(p) - first_target).abs() < 1e-12)
         {
             return make_leaf(&mut self.nodes);
         }
 
-        // `workspace.{features, values}` are reusable: split selection
-        // finishes before the recursion below, so one buffer of each serves
-        // every node of the tree.
-        let BuildWorkspace {
-            values, features, ..
-        } = workspace;
-        let dims = data.dims();
+        // `features` is reusable: split selection finishes before the
+        // recursion below, so one buffer serves every node of the tree.
         match self.feature_subsample {
             Some(k) if k < dims => rng.sample_indices_into(dims, k, features),
             _ => {
@@ -575,56 +682,56 @@ impl RegressionTree {
             }
         }
 
-        let parent_sse: f64 = indices
+        let parent_sse: f64 = node
             .iter()
-            .map(|&i| {
-                let d = target_of(i) - mean;
+            .map(|&p| {
+                let d = target_of(p) - mean;
                 d * d
             })
             .sum();
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
         for &feature in features.iter() {
-            values.clear();
-            values.extend(
-                indices
-                    .iter()
-                    .map(|&i| (data.feature(i, feature), target_of(i))),
-            );
-            values.sort_by(|a, b| a.0.total_cmp(&b.0));
+            // The node's samples in (value, position) order: its range of
+            // the feature's lane, kept ordered by partitioning alone.
+            let order = &orders[feature * n..(feature + 1) * n][range.clone()];
+            let value_of = |p: u32| values[feature * n + p as usize];
 
             // Running sums over the sorted order evaluate every split in
             // O(n) per feature without materializing prefix arrays; the
             // accumulation order (and hence every float) is identical to the
             // prefix-array formulation.
-            let n = values.len();
             let mut total_sum = 0.0;
             let mut total_sq = 0.0;
-            for &(_, t) in values.iter() {
+            for &p in order {
+                let t = target_of(p);
                 total_sum += t;
                 total_sq += t * t;
             }
             let mut left_sum = 0.0;
             let mut left_sq = 0.0;
-            for split in 1..n {
-                let t = values[split - 1].1;
+            let mut upper = value_of(order[0]);
+            for split in 1..len {
+                let t = target_of(order[split - 1]);
                 left_sum += t;
                 left_sq += t * t;
-                if split < self.min_samples_leaf || split > n - self.min_samples_leaf {
+                let lower = upper;
+                upper = value_of(order[split]);
+                if split < self.min_samples_leaf || split > len - self.min_samples_leaf {
                     continue;
                 }
                 // Only split between distinct feature values.
-                if (values[split - 1].0 - values[split].0).abs() < 1e-12 {
+                if (lower - upper).abs() < 1e-12 {
                     continue;
                 }
                 let left_n = split as f64;
-                let right_n = (n - split) as f64;
+                let right_n = (len - split) as f64;
                 let right_sum = total_sum - left_sum;
                 let right_sq = total_sq - left_sq;
                 let left_sse = left_sq - left_sum * left_sum / left_n;
                 let right_sse = right_sq - right_sum * right_sum / right_n;
                 let total = left_sse + right_sse;
                 if best.map_or(total < parent_sse - 1e-12, |(_, _, b)| total < b) {
-                    let threshold = 0.5 * (values[split - 1].0 + values[split].0);
+                    let threshold = 0.5 * (lower + upper);
                     best = Some((feature, threshold, total));
                 }
             }
@@ -634,26 +741,46 @@ impl RegressionTree {
             return make_leaf(&mut self.nodes);
         };
 
-        let goes_left = |i: usize| data.feature(i, feature) <= threshold;
-        let left_len = indices.iter().filter(|&&i| goes_left(i)).count();
-        if left_len == 0 || left_len == indices.len() {
+        let mut left_len = 0usize;
+        let split_values = &values[feature * n..(feature + 1) * n];
+        for &p in node {
+            let left = split_values[p as usize] <= threshold;
+            flags[p as usize] = u32::from(left);
+            left_len += usize::from(left);
+        }
+        if left_len == 0 || left_len == len {
             return make_leaf(&mut self.nodes);
         }
-        // Stable in-place partition via the shared scratch buffer: the same
-        // sequences `Iterator::partition` would produce, without allocating
-        // per node.
-        stable_partition_in_place(indices, &mut workspace.partition, goes_left);
+        // A child reads the feature lanes only if it may split; when both
+        // are leaves by depth or size, only the index lane (the last lane
+        // of a group, hence `rev`) is needed.
+        let child_may_split =
+            depth + 1 < self.max_depth && left_len.max(len - left_len) >= 2 * self.min_samples_leaf;
+        let lanes_needed = if child_may_split { dims + 1 } else { 1 };
+        for (from, to) in current
+            .chunks_exact(n)
+            .zip(next.chunks_exact_mut(n))
+            .rev()
+            .take(lanes_needed)
+        {
+            partition_by_flags(
+                &from[range.clone()],
+                &mut to[range.clone()],
+                flags,
+                left_len,
+            );
+        }
 
         // Reserve this node's slot before recursing so children indices are
         // stable.
         self.nodes.push(Node::Leaf {
             value: mean,
-            count: indices.len(),
+            count: len,
         });
         let me = self.nodes.len() - 1;
-        let (left_idx, right_idx) = indices.split_at_mut(left_len);
-        let left = self.build(data, left_idx, depth + 1, rng, workspace);
-        let right = self.build(data, right_idx, depth + 1, rng, workspace);
+        let middle = range.start + left_len;
+        let left = self.build(dims, range.start..middle, depth + 1, rng, workspace);
+        let right = self.build(dims, middle..range.end, depth + 1, rng, workspace);
         self.nodes[me] = Node::Split {
             feature,
             threshold,
@@ -664,37 +791,127 @@ impl RegressionTree {
     }
 }
 
-/// Stable in-place partition: elements satisfying `keep_left` move to the
-/// front, the rest to the back, both sides preserving relative order — the
-/// sequences `Iterator::partition` would produce, without allocating per
-/// call (`scratch` is reused).
-fn stable_partition_in_place<F: Fn(usize) -> bool>(
-    items: &mut [usize],
-    scratch: &mut Vec<usize>,
-    keep_left: F,
-) {
-    scratch.clear();
-    let mut write = 0usize;
-    for read in 0..items.len() {
-        let i = items[read];
-        if keep_left(i) {
-            items[write] = i;
-            write += 1;
-        } else {
-            scratch.push(i);
-        }
+#[cfg(test)]
+impl RegressionTree {
+    /// Asserts `self` and `other` are the same fit down to the derived
+    /// caches: equal nodes (the `PartialEq` state), the same flat table bit
+    /// for bit, and the same presorted root orders.
+    pub(crate) fn assert_same_fit(&self, other: &Self, context: &str) {
+        assert_eq!(self, other, "nodes differ: {context}");
+        let bits =
+            |t: &Self| -> Vec<u64> { t.flat.threshold.iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(
+            self.flat.feature, other.flat.feature,
+            "flat features differ: {context}"
+        );
+        assert_eq!(bits(self), bits(other), "flat thresholds differ: {context}");
+        assert_eq!(
+            self.flat.child, other.flat.child,
+            "flat children differ: {context}"
+        );
+        assert_eq!(
+            self.presorted, other.presorted,
+            "presorted orders differ: {context}"
+        );
     }
-    items[write..].copy_from_slice(scratch);
 }
 
-/// Reusable buffers of one optimized tree construction: sized once per fit,
+/// The sort key of resample position `position` with feature value
+/// `value`: the `f64::total_cmp` order of the value as an unsigned integer
+/// (flip every bit of a negative value, the sign bit of any other), above
+/// the position. Integer order of the keys is `(value, position)` order.
+fn sort_key(value: f64, position: u32) -> u128 {
+    let bits = value.to_bits();
+    let negative_mask = ((bits as i64) >> 63) as u64;
+    let ordered = bits ^ (negative_mask | 1 << 63);
+    (u128::from(ordered) << 32) | u128::from(position)
+}
+
+/// `n` as a resample position (positions are stored as `u32`).
+fn to_position(n: usize) -> u32 {
+    u32::try_from(n).expect("resample exceeds u32 positions")
+}
+
+/// The root orders of a fit over `n` resample positions (the `presorted`
+/// lanes), from the feature `columns` (`n` values by position per
+/// feature): per feature, the positions `0..n` in `(total_cmp value,
+/// position)` order.
+///
+/// With no usable `parent`, each feature's positions are sorted. With a
+/// `parent` carrying lanes over the first `n_p` positions, only the
+/// appended positions `n_p..n` are sorted, then merged into each parent
+/// lane with old positions first on value ties. Either source gives the
+/// same lanes. The sorts run on [`sort_key`]s: distinct integers, so the
+/// unstable sort is the stable sort by value, and it never allocates.
+fn root_orders(columns: &[f64], n: usize, parent: Option<&RegressionTree>) -> Vec<u32> {
+    let dims = columns.len() / n;
+    let parent_lanes = parent.map_or(&[][..], |tree| &tree.presorted[..]);
+    let parent_len = parent_lanes.len() / dims;
+    let merge = parent_len > 0 && parent_len * dims == parent_lanes.len() && parent_len <= n;
+    let sorted_from = if merge { parent_len } else { 0 };
+    let mut keys = Vec::with_capacity(n - sorted_from);
+    let mut orders = Vec::with_capacity(dims * n);
+    for (feature, column) in columns.chunks_exact(n).enumerate() {
+        keys.clear();
+        keys.extend((sorted_from..n).map(|p| sort_key(column[p], to_position(p))));
+        keys.sort_unstable();
+        let sorted = keys.iter().map(|&key| key as u32);
+        if !merge {
+            orders.extend(sorted);
+            continue;
+        }
+        let key_of = |p: u32| sort_key(column[p as usize], p);
+        let old = &parent_lanes[feature * parent_len..(feature + 1) * parent_len];
+        debug_assert!(
+            old.iter().all(|&p| (p as usize) < parent_len)
+                && old.windows(2).all(|w| key_of(w[0]) < key_of(w[1])),
+            "the parent's orders are not the orders of a prefix of this resample"
+        );
+        let mut rest = old;
+        for new in sorted {
+            let key = key_of(new);
+            // Old positions precede `new` on ties (their keys are smaller):
+            // take every old position ordered before it.
+            let take = rest.partition_point(|&p| key_of(p) < key);
+            orders.extend_from_slice(&rest[..take]);
+            orders.push(new);
+            rest = &rest[take..];
+        }
+        orders.extend_from_slice(rest);
+    }
+    orders
+}
+
+/// Branch-free stable partition of `from` into `to` by `flags[item]`
+/// (1 = left), given the number of left items: left items first, then the
+/// rest, both sides keeping their relative order.
+fn partition_by_flags(from: &[u32], to: &mut [u32], flags: &[u32], left_len: usize) {
+    let (mut left, mut right) = (0usize, left_len);
+    for &item in from {
+        let goes_left = flags[item as usize] as usize;
+        let slot = if goes_left == 1 { left } else { right };
+        to[slot] = item;
+        left += goes_left;
+        right += 1 - goes_left;
+    }
+}
+
+/// Working state of one optimized tree construction, sized once per fit,
 /// so building a tree allocates the same number of times whatever its node
 /// count (pinned by `tests/alloc_budget.rs`).
 struct BuildWorkspace {
-    /// `(feature value, target)` pairs of the node under consideration.
-    values: Vec<(f64, f64)>,
-    /// Scratch for the stable in-place index partition.
-    partition: Vec<usize>,
+    /// The resample gathered by position, `(dims + 1)·n` values: one column
+    /// per feature, then the targets. Nodes read a sample's value and target
+    /// here instead of through `indices` into the training set.
+    columns: Vec<f64>,
+    /// One allocation of `(2·dims + 3)·n` resample positions: two groups
+    /// of `dims` feature lanes plus a node index lane, then the left/right
+    /// flag lane (indexed by position). Nodes at even depths read group 0
+    /// and partition into group 1, odd depths the reverse; group 0 starts
+    /// as the root orders and the positions `0..n`.
+    lanes: Vec<u32>,
+    /// Resample size `n`: the length of every lane.
+    n: usize,
     /// Split candidates of the node under consideration (the random feature
     /// subset, or every feature).
     features: Vec<usize>,
@@ -718,6 +935,7 @@ impl Surrogate for RegressionTree {
         let mut clone = self.clone();
         clone.nodes.clear();
         clone.flat = FlatNodes::default();
+        clone.presorted = Vec::new();
         clone.fitted = false;
         Box::new(clone)
     }
@@ -910,6 +1128,159 @@ mod tests {
                 indices.len()
             );
         }
+    }
+
+    /// Discrete feature levels shaped like the TF, Scout and CherryPick
+    /// spaces: at most four levels, one feature holding ±0.0 (which
+    /// `total_cmp` orders but the split test treats as equal).
+    const LEVELS: [&[f64]; 5] = [
+        &[-0.0, 0.0, 1.0],
+        &[1.0, 2.0, 4.0, 8.0],
+        &[0.0, 1.0],
+        &[0.5, 1.5, 3.0],
+        &[2.0, 3.0, 5.0, 7.0],
+    ];
+
+    /// Appends one random row over the first `dims` of [`LEVELS`], with a
+    /// target that repeats often.
+    fn push_level_row(data: &mut TrainingSet, rng: &mut SeededRng) {
+        let row: Vec<f64> = LEVELS[..data.dims()]
+            .iter()
+            .map(|l| l[rng.below(l.len())])
+            .collect();
+        let target = (row[1] * 10.0 + row[0]).floor() + rng.below(3) as f64;
+        data.push(row, target);
+    }
+
+    /// The merge path: a tree whose root orders come from its parent's
+    /// presorted lanes must be the tree a scratch `fit_indexed` builds on
+    /// the extended resample (same nodes, same flat table, same orders) —
+    /// and the retained reference build agrees with both. Chains of five
+    /// extensions, each appending several distinct rows in unsorted order
+    /// with values tying existing ones, Poisson duplicates of every draw,
+    /// 5 dims with 4 candidates per split (the draws consume RNG) and 3
+    /// dims with all of them (they do not).
+    #[test]
+    fn presorted_merge_builds_the_scratch_tree() {
+        let mut rng = SeededRng::new(0x5E7);
+        for round in 0..80usize {
+            let (dims, k) = if round % 2 == 0 { (5, 4) } else { (3, 3) };
+            let mut data = TrainingSet::new(dims);
+            let n0 = 1 + rng.below(30);
+            for _ in 0..n0 {
+                push_level_row(&mut data, &mut rng);
+            }
+            let mut resample: Vec<usize> = (0..n0)
+                .flat_map(|i| std::iter::repeat_n(i, rng.below(4)))
+                .collect();
+            let template = RegressionTree::new()
+                .with_max_depth(1 + round % 4 + if round % 5 == 0 { 28 } else { 0 })
+                .with_min_samples_leaf(1 + rng.below(3))
+                .with_feature_subsample(k)
+                .with_seed(rng.next_u64());
+            let mut parent = template.clone();
+            parent.fit_indexed(&data, &resample);
+            for step in 0..5 {
+                let base = data.len();
+                let added = 2 + rng.below(3);
+                for _ in 0..added {
+                    push_level_row(&mut data, &mut rng);
+                }
+                // Poisson-style counts; at least one draw so the member is
+                // rebuilt, as `refit_with` only rebuilds drawn members.
+                for i in base..data.len() {
+                    resample.extend(std::iter::repeat_n(i, rng.below(3)));
+                }
+                if resample.len() == parent.presorted.len() / dims {
+                    resample.push(base + rng.below(added));
+                }
+                let context = format!("round {round}, step {step}, {} draws", resample.len());
+                let mut merged = template.clone();
+                merged.fit_extending(&data, &resample, Some(&parent));
+                let mut scratch = template.clone();
+                scratch.fit_indexed(&data, &resample);
+                merged.assert_same_fit(&scratch, &context);
+                let rows: Vec<Vec<f64>> = resample
+                    .iter()
+                    .map(|&i| data.feature_row(i).to_vec())
+                    .collect();
+                let targets: Vec<f64> = resample.iter().map(|&i| data.targets()[i]).collect();
+                let mut reference = template.clone();
+                reference.fit_reference(&rows, &targets);
+                assert_eq!(merged, reference, "reference diverged: {context}");
+                parent = merged;
+            }
+        }
+    }
+
+    /// Parents without usable orders fall back to the scratch sort: an
+    /// unfitted parent, a reference-fitted one, and a tree fitted on a
+    /// longer resample than the one being built.
+    #[test]
+    fn presorted_merge_ignores_unusable_parents() {
+        let mut rng = SeededRng::new(31);
+        let mut data = TrainingSet::new(3);
+        for _ in 0..24 {
+            push_level_row(&mut data, &mut rng);
+        }
+        let resample: Vec<usize> = (0..24).collect();
+        let template = RegressionTree::new().with_seed(9);
+        let mut scratch = template.clone();
+        scratch.fit_indexed(&data, &resample);
+
+        let unfitted = template.clone();
+        let mut reference = template.clone();
+        let rows: Vec<Vec<f64>> = data.feature_rows().map(<[f64]>::to_vec).collect();
+        reference.fit_reference(&rows[..12], &data.targets()[..12]);
+        assert!(reference.presorted.is_empty());
+        let mut longer = template.clone();
+        let doubled: Vec<usize> = (0..24).chain(0..24).collect();
+        longer.fit_indexed(&data, &doubled);
+        for (name, parent) in [
+            ("unfitted", &unfitted),
+            ("reference", &reference),
+            ("longer", &longer),
+        ] {
+            let mut tree = template.clone();
+            tree.fit_extending(&data, &resample, Some(parent));
+            tree.assert_same_fit(&scratch, name);
+        }
+    }
+
+    /// A parent fitted on rows that do not start the resample breaks the
+    /// merge's requirement; debug builds catch it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not the orders of a prefix")]
+    fn presorted_merge_rejects_a_parent_of_other_rows_in_debug_builds() {
+        let mut data = TrainingSet::new(1);
+        for x in [0.0, 1.0, 3.0, 2.0] {
+            data.push(vec![x], x);
+        }
+        let mut parent = RegressionTree::new();
+        parent.fit_indexed(&data, &[2, 3]);
+        RegressionTree::new().fit_extending(&data, &[0, 1, 2], Some(&parent));
+    }
+
+    #[test]
+    fn root_orders_are_stable_total_cmp_orders() {
+        let mut data = TrainingSet::new(2);
+        for (a, b) in [
+            (1.0, 0.0),
+            (-0.0, 2.0),
+            (0.0, 2.0),
+            (1.0, -1.0),
+            (-0.0, 0.0),
+        ] {
+            data.push(vec![a, b], a + b);
+        }
+        let mut tree = RegressionTree::new();
+        tree.fit_indexed(&data, &[0, 1, 2, 3, 4, 1]);
+        // Feature 0: -0.0 (positions 1, 4, 5) < 0.0 (2) < 1.0 (0, 3).
+        // Feature 1: -1.0 (3) < 0.0 (0, 4) < 2.0 (1, 2, 5).
+        assert_eq!(tree.presorted, vec![1, 4, 5, 2, 0, 3, 3, 0, 4, 1, 2, 5]);
+        tree.fit_indexed(&data, &[]);
+        assert!(tree.presorted.is_empty(), "an empty refit drops the orders");
     }
 
     /// Seeded property sweep pinning the flat struct-of-arrays descent

@@ -223,7 +223,12 @@
 //!   counter-based Poisson(1) counts, so
 //!   [`learners::BaggingEnsemble::refit_with`] extends a fitted ensemble by
 //!   one speculated sample while rebuilding only the member trees whose
-//!   resample draws it (~63%), bit-identically to a from-scratch fit.
+//!   resample draws it (~63%), bit-identically to a from-scratch fit. A
+//!   rebuilt member's resample is the old one plus the new draws, so it
+//!   takes its per-feature sorted orders from the member it replaces
+//!   ([`learners::RegressionTree::fit_extending`] merges in the new
+//!   positions) and construction below the root only partitions them:
+//!   no node sorts.
 //! * **Copy-on-write speculation** — [`core::SpeculativeCursor`] overlays
 //!   speculated observations on the real search state with push/pop
 //!   semantics instead of cloning the whole state per branch.

@@ -6,9 +6,11 @@
 //! counting global allocator (thread-local counts, so the parallel test
 //! harness cannot disturb a measurement) and pins:
 //!
-//! 1. `RegressionTree::fit_indexed` makes the same number of allocations
-//!    for trees of very different node counts — the buffers are sized once
-//!    per fit, never per node;
+//! 1. tree construction makes the same number of allocations for trees of
+//!    very different node counts, whichever source its root orders come
+//!    from — a sort (`RegressionTree::fit_indexed`) or a merge with a
+//!    parent tree's orders (`RegressionTree::fit_extending`): the buffers
+//!    are sized once per fit, never per node;
 //! 2. `SeededRng::sample_indices_into` draws exactly what
 //!    `SeededRng::sample_indices` draws, leaves the same generator state,
 //!    and allocates nothing once its buffer is sized.
@@ -65,18 +67,31 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (result, ALLOCATIONS.with(Cell::get) - before)
 }
 
-/// Allocations of one `fit_indexed` on a fresh tree: the owned index copy,
-/// the three build buffers (split values, partition, split candidates), the
-/// node table, and the flat table's three lanes plus its work stack.
+/// Allocations of one tree fit, from either source of root orders: the
+/// resample's columns, the sort keys, the presorted root orders (kept on
+/// the tree), the working lanes, the split candidates, the node table, and
+/// the flat table's three lanes.
 const FIT_ALLOCATIONS: u64 = 9;
 
-/// Fits a fresh bagging-style random tree (3 of 4 features per split) and
-/// returns it with the allocations the fit made.
-fn fit_counted(data: &TrainingSet, indices: &[usize]) -> (RegressionTree, u64) {
-    let mut tree = RegressionTree::new()
+/// A fresh bagging-style random tree (3 of 4 features per split).
+fn random_tree() -> RegressionTree {
+    RegressionTree::new()
         .with_feature_subsample(3)
-        .with_seed(17);
-    let ((), count) = allocations_during(|| tree.fit_indexed(data, indices));
+        .with_seed(17)
+}
+
+/// Fits a fresh random tree, merging its root orders from `parent` when
+/// given, and returns it with the allocations the fit made.
+fn fit_counted(
+    data: &TrainingSet,
+    indices: &[usize],
+    parent: Option<&RegressionTree>,
+) -> (RegressionTree, u64) {
+    let mut tree = random_tree();
+    let ((), count) = allocations_during(|| match parent {
+        Some(parent) => tree.fit_extending(data, indices, Some(parent)),
+        None => tree.fit_indexed(data, indices),
+    });
     (tree, count)
 }
 
@@ -108,8 +123,8 @@ fn tree_construction_allocates_per_fit_not_per_node() {
         .collect();
     assert_eq!(deep.len(), shallow.len());
 
-    let (deep_tree, deep_count) = fit_counted(&data, &deep);
-    let (shallow_tree, shallow_count) = fit_counted(&data, &shallow);
+    let (deep_tree, deep_count) = fit_counted(&data, &deep, None);
+    let (shallow_tree, shallow_count) = fit_counted(&data, &shallow, None);
     assert!(
         deep_tree.node_count() >= 10 * shallow_tree.node_count(),
         "the two resamples must build very different trees: {} vs {} nodes",
@@ -123,6 +138,24 @@ fn tree_construction_allocates_per_fit_not_per_node() {
         deep_tree.node_count(),
         shallow_tree.node_count()
     );
+
+    // The merge source: each resample extends a parent fitted on its first
+    // two thirds, and the merged fit is the sorted fit, node for node.
+    for (name, resample, sorted_tree) in [
+        ("deep", &deep, &deep_tree),
+        ("shallow", &shallow, &shallow_tree),
+    ] {
+        let mut parent = random_tree();
+        parent.fit_indexed(&data, &resample[..resample.len() * 2 / 3]);
+        let (merged_tree, merged_count) = fit_counted(&data, resample, Some(&parent));
+        assert_eq!(&merged_tree, sorted_tree, "{name}: merged fit diverged");
+        assert_eq!(
+            merged_count,
+            FIT_ALLOCATIONS,
+            "{name}: fit_extending allocations for {} nodes",
+            merged_tree.node_count()
+        );
+    }
 }
 
 #[test]
